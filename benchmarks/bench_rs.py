@@ -21,6 +21,11 @@ MAC tags), asserts the >= 10x acceptance bar, and writes the numbers
 plus the gate table as JSON so CI archives a machine-readable record.
 The ``ProcessPoolExecutor`` sharding row is informational: it reports
 real multicore speedup only when the runner has more than one core.
+
+A second gated row covers step 3 of the same pipeline, AES-CTR over
+the encoded file: the per-block scalar keystream against the numpy
+batch kernel on a 256 KB plaintext (>= 20x), with the keystreams
+added to the equivalence sweep.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from _gates import Gate, enforce_gates  # noqa: E402
 
 from repro.analysis.reporting import format_table  # noqa: E402
+from repro.crypto.aes import AES, _ctr_keystream, _ctr_xor_vec  # noqa: E402
 from repro.crypto.mac import mac_tag, mac_tag_many  # noqa: E402
 from repro.erasure.striping import BlockStriper, StripeLayout  # noqa: E402
 from repro.gf import HAS_NUMPY  # noqa: E402
+from repro.util.bitops import xor_bytes  # noqa: E402
 
 #: Encoded file sizes in 16-byte blocks; --quick keeps only the gated
 #: million-block row.
@@ -49,6 +56,21 @@ FILE_BLOCKS = [100_000, 1_000_000]
 #: Gated row: the vectorized engine must beat the scalar path by at
 #: least this factor on a 1M-block (16 MB) file (ISSUE 6 / ROADMAP).
 MIN_SPEEDUP_1M = 10.0
+
+#: Gated row: the numpy AES-CTR kernel must beat the per-block scalar
+#: keystream by at least this factor on AES_CTR_BYTES of plaintext.
+MIN_AES_CTR_SPEEDUP = 20.0
+
+#: Plaintext size of the AES-CTR row: one chunk of the numpy kernel.
+AES_CTR_BYTES = 256 * 1024
+
+#: CTR initial counters the equivalence sweep covers: an ordinary one,
+#: a low-lane carry after 16 blocks, and the full 2^128 wrap.
+CTR_NONCES = (
+    bytes(range(16)),
+    bytes(8) + bytes.fromhex("fffffffffffffff0"),
+    b"\xff" * 16,
+)
 
 #: Chunks the scalar path encodes to estimate its per-block rate.
 SCALAR_SAMPLE_CHUNKS = 3
@@ -111,8 +133,21 @@ def mac_rates(n_segments: int, segment_bytes: int) -> tuple[float, float]:
     return n_segments / scalar_s, n_segments / batch_s
 
 
+def aes_ctr_rates(n_bytes: int) -> tuple[float, float, bool]:
+    """(scalar, numpy) bytes/sec of AES-CTR, and whether outputs match."""
+    aes = AES(b"bench-aes-key-16")
+    nonce = CTR_NONCES[0]
+    plaintext = random.Random("aes-ctr").randbytes(n_bytes)
+    start = time.perf_counter()
+    scalar = xor_bytes(plaintext, _ctr_keystream(aes, nonce, n_bytes))
+    mid = time.perf_counter()
+    vectorized = _ctr_xor_vec(aes, nonce, plaintext)
+    end = time.perf_counter()
+    return n_bytes / (mid - start), n_bytes / (end - mid), scalar == vectorized
+
+
 def equivalence_sweep() -> bool:
-    """Byte-identical scalar/vectorized sweep: encode, decode, MAC."""
+    """Byte-identical scalar/vectorized sweep: encode, decode, MAC, CTR."""
     rnd = random.Random("equivalence")
     for layout in (SMALL_LAYOUT, PAPER_LAYOUT):
         scalar = BlockStriper(layout, vectorized=False)
@@ -135,6 +170,14 @@ def equivalence_sweep() -> bool:
         out_v = vector.decode_chunk(corrupted, erasures=erasures)
         if not (out_s == out_v == chunk_blocks):
             return False
+    for key in (b"k" * 16, b"k" * 24, b"k" * 32):
+        aes = AES(key)
+        for nonce in CTR_NONCES:
+            for n_bytes in (0, 1, 17, 16 * 20 + 3):
+                if _ctr_keystream(aes, nonce, n_bytes) != _ctr_xor_vec(
+                    aes, nonce, bytes(n_bytes)
+                ):
+                    return False
     payloads = [rnd.randbytes(52) for _ in range(64)]
     batch = mac_tag_many(b"key", payloads, b"fid")
     scalar_tags = [
@@ -227,7 +270,14 @@ def main(argv: list[str] | None = None) -> int:
         f"({mac_batch / mac_scalar:.2f}x)"
     )
 
-    equivalent = equivalence_sweep()
+    aes_scalar, aes_numpy, aes_identical = aes_ctr_rates(AES_CTR_BYTES)
+    aes_speedup = aes_numpy / aes_scalar
+    print(
+        f"aes-ctr ({AES_CTR_BYTES // 1024} KB): {aes_scalar / 1e6:.3f} MB/s "
+        f"scalar -> {aes_numpy / 1e6:.2f} MB/s numpy ({aes_speedup:.1f}x)"
+    )
+
+    equivalent = equivalence_sweep() and aes_identical
 
     row_1m = next(r for r in rows if r["blocks"] == 1_000_000)
     gates = [
@@ -238,10 +288,16 @@ def main(argv: list[str] | None = None) -> int:
             detail="vectorized vs scalar blk/s, 1M-block file",
         ),
         Gate(
+            name="aes_ctr_speedup",
+            measured=aes_speedup,
+            required=MIN_AES_CTR_SPEEDUP,
+            detail=f"numpy vs scalar keystream B/s, {AES_CTR_BYTES // 1024} KB",
+        ),
+        Gate(
             name="scalar_vec_equivalence",
             measured=1.0 if equivalent else 0.0,
             required=1.0,
-            detail="encode + decode(errors,erasures) + MAC byte-identical",
+            detail="encode + decode(errors,erasures) + MAC + CTR byte-identical",
         ),
     ]
 
@@ -254,6 +310,12 @@ def main(argv: list[str] | None = None) -> int:
         "rows": rows,
         "workers": workers_row,
         "mac_tags_per_sec": {"scalar": mac_scalar, "batch": mac_batch},
+        "aes_ctr_bytes_per_sec": {
+            "bytes": AES_CTR_BYTES,
+            "scalar": aes_scalar,
+            "numpy": aes_numpy,
+            "min_speedup": MIN_AES_CTR_SPEEDUP,
+        },
         "gates": [gate.as_dict() for gate in gates],
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")

@@ -10,14 +10,36 @@ Performance note: this is a table-driven byte-oriented implementation.
 It is *not* constant time and is not meant to resist side channels --
 the reproduction needs functional correctness (verified against FIPS-197
 and SP 800-38A test vectors in the test suite), not production speed.
-For bulk work the tests keep plaintexts small; the POR pipeline
-encrypts per 16-byte block.
+CTR mode has two kernels behind one API:
+
+* **scalar** -- :meth:`AES.encrypt_block` once per 16-byte counter
+  block.  It is the fallback when numpy is absent and the
+  byte-identical reference the vectorized kernel is pinned against.
+* **vectorized** -- when numpy is available (the capability flag
+  :data:`repro.gf.HAS_NUMPY`), every counter block of a chunk of the
+  file goes through the rounds at once: SubBytes is one gather through
+  the S-box, ShiftRows a fixed column index, MixColumns the
+  ``a_i ^ t ^ xtime(a_i ^ a_{i+1})`` form on the ``xtime`` table.  The
+  kernel walks the input in fixed chunks of
+  :data:`_CTR_CHUNK_BLOCKS` blocks so its working set stays bounded
+  on large files.  This is what makes the POR setup's step 3 (encrypt
+  the whole error-corrected file) cost about as much as RS encode
+  rather than dominating outsourcing.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import Any
+
 from repro.errors import InvalidKeyError
-from repro.util.bitops import xor_bytes
+from repro.gf import gf256_vec
+from repro.util.bitops import ceil_div, xor_bytes
+
+try:  # pragma: no cover - exercised via the no-numpy CI lane
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 # ---------------------------------------------------------------------------
 # S-box generation.  Rather than hard-coding the 256-entry table we derive
@@ -79,6 +101,23 @@ _MUL11 = bytes(_gf_mul(x, 11) for x in range(256))
 _MUL13 = bytes(_gf_mul(x, 13) for x in range(256))
 _MUL14 = bytes(_gf_mul(x, 14) for x in range(256))
 
+#: Counter blocks the vectorized CTR kernel encrypts per pass (256 KB of
+#: keystream): bounds the kernel's temporaries independent of file size.
+_CTR_CHUNK_BLOCKS = 16_384
+
+if _np is not None:
+    _SBOX_NP = _np.frombuffer(_SBOX, dtype=_np.uint8)
+    _MUL2_NP = _np.frombuffer(_MUL2, dtype=_np.uint8)
+    # The state is column-major (byte 4*c + r is row r, column c).
+    # ShiftRows moves row r left by r: out[4c + r] = in[4((c + r) % 4) + r].
+    _SHIFT_ROWS_IDX = _np.array(
+        [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)]
+    )
+    # a_{i+1} for every byte a_i of a column (row index mod 4).
+    _NEXT_ROW_IDX = _np.array(
+        [4 * c + (r + 1) % 4 for c in range(4) for r in range(4)]
+    )
+
 
 class AES:
     """The AES block cipher.
@@ -125,6 +164,11 @@ class AES:
                 rk.extend(words[4 * r + c])
             round_keys.append(rk)
         return round_keys
+
+    @cached_property
+    def _round_key_array(self) -> Any:
+        """The round keys as an ``(rounds + 1, 16)`` uint8 numpy array."""
+        return _np.array(self._round_keys, dtype=_np.uint8)
 
     # -- round functions ----------------------------------------------
 
@@ -227,16 +271,70 @@ def _ctr_keystream(aes: AES, nonce: bytes, n_bytes: int) -> bytes:
     return bytes(out[:n_bytes])
 
 
+def _counter_blocks(counter: int, n_blocks: int) -> Any:
+    """``n_blocks`` consecutive counter blocks from ``counter``, as (n, 16) uint8.
+
+    The 128-bit counter is two big-endian uint64 lanes; the low lane
+    wraps mod 2^64 and carries into the high lane, which itself wraps,
+    so the whole counter wraps mod 2^128 exactly like the scalar path.
+    """
+    counter %= 1 << 128
+    high = _np.uint64(counter >> 64)
+    low = _np.uint64(counter & 0xFFFFFFFFFFFFFFFF)
+    lanes = _np.empty((n_blocks, 2), dtype=">u8")
+    lanes[:, 1] = low + _np.arange(n_blocks, dtype=_np.uint64)
+    lanes[:, 0] = high + (lanes[:, 1] < low)
+    return lanes.view(_np.uint8)
+
+
+def _encrypt_blocks_vec(round_keys: Any, state: Any) -> Any:
+    """AES-encrypt every row of an (n, 16) uint8 array of blocks."""
+    rounds = len(round_keys) - 1
+    state = state ^ round_keys[0]
+    for r in range(1, rounds):
+        state = _SBOX_NP[state[:, _SHIFT_ROWS_IDX]]
+        # MixColumns: b_i = a_i ^ t ^ xtime(a_i ^ a_{i+1}), t = XOR of the column.
+        columns = state.reshape(-1, 4, 4)
+        t = _np.bitwise_xor.reduce(columns, axis=2, keepdims=True)
+        mixed = _MUL2_NP[state ^ state[:, _NEXT_ROW_IDX]].reshape(-1, 4, 4)
+        mixed ^= columns
+        mixed ^= t
+        state = mixed.reshape(-1, 16)
+        state ^= round_keys[r]
+    state = _SBOX_NP[state[:, _SHIFT_ROWS_IDX]]
+    state ^= round_keys[rounds]
+    return state
+
+
+def _ctr_xor_vec(aes: AES, nonce: bytes, data: bytes) -> bytes:
+    """XOR ``data`` with the CTR keystream, one chunk of blocks at a time."""
+    out = _np.frombuffer(data, dtype=_np.uint8).copy()
+    counter = int.from_bytes(nonce, "big")
+    chunk_bytes = _CTR_CHUNK_BLOCKS * AES.BLOCK_SIZE
+    for start in range(0, len(out), chunk_bytes):
+        view = out[start : start + chunk_bytes]
+        blocks = _counter_blocks(
+            counter + start // AES.BLOCK_SIZE, ceil_div(len(view), AES.BLOCK_SIZE)
+        )
+        keystream = _encrypt_blocks_vec(aes._round_key_array, blocks)
+        view ^= keystream.reshape(-1)[: len(view)]
+    return out.tobytes()
+
+
 def aes_ctr_encrypt(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """Encrypt ``plaintext`` with AES-CTR.
 
     ``nonce`` is the 16-byte initial counter block (SP 800-38A style).
     CTR mode needs no padding and is length-preserving, which keeps the
-    POR block accounting exact.
+    POR block accounting exact.  Runs the vectorized kernel when numpy
+    is available and the per-block scalar path otherwise; both produce
+    the same bytes.
     """
     if len(nonce) != 16:
         raise InvalidKeyError(f"CTR nonce must be 16 bytes, got {len(nonce)}")
     aes = AES(key)
+    if gf256_vec.HAS_NUMPY:
+        return _ctr_xor_vec(aes, nonce, plaintext)
     return xor_bytes(plaintext, _ctr_keystream(aes, nonce, len(plaintext)))
 
 

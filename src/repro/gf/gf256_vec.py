@@ -54,8 +54,9 @@ except ImportError:  # pragma: no cover
     _np = None
 
 #: True when numpy is importable and the vectorized kernels are usable.
-#: The capability flag consulted by striping, benchmarks and packaging
-#: docs; monkeypatchable in tests to exercise the fallback path.
+#: The capability flag consulted by striping, the AES-CTR keystream
+#: (:mod:`repro.crypto.aes`), benchmarks and packaging docs;
+#: monkeypatchable in tests to exercise the fallback path.
 HAS_NUMPY = _np is not None
 
 if HAS_NUMPY:

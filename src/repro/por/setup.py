@@ -116,7 +116,9 @@ def setup_file(
 
     # Step 3: encryption -> F''.  CTR keystream positions are indexed by
     # the block's pre-permutation position so decryption after
-    # un-permuting lines up.
+    # un-permuting lines up.  With numpy the whole file's keystream is
+    # computed in batches of counter blocks (see repro.crypto.aes); the
+    # per-block scalar fallback gives the same bytes ~100x slower.
     nonce = _ctr_nonce(file_id)
     flat = b"".join(encoded_blocks)
     encrypted = aes_ctr_encrypt(keys.encryption_key, nonce, flat)

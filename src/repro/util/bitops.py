@@ -37,7 +37,11 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
         raise ConfigurationError(
             f"xor_bytes requires equal lengths, got {len(a)} and {len(b)}"
         )
-    return bytes(x ^ y for x, y in zip(a, b))
+    # One big-integer XOR instead of a per-byte generator; the fixed
+    # output width keeps leading zero bytes.
+    return (
+        int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    ).to_bytes(len(a), "big")
 
 
 def rotl32(value: int, amount: int) -> int:

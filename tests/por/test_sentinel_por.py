@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, ProtocolError
+from repro.gf import HAS_NUMPY, gf256_vec
 from repro.por.parameters import TEST_PARAMS
 from repro.por.sentinel_por import (
     SentinelChallenge,
@@ -37,6 +38,15 @@ class TestEncode:
     def test_rejects_zero_sentinels(self):
         with pytest.raises(ConfigurationError):
             SentinelPORClient(MASTER, b"f", 0, TEST_PARAMS)
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernels need numpy")
+    def test_numpy_and_scalar_encode_identically(self, sample_data, monkeypatch):
+        data = sample_data[:4000]
+        vectorized = SentinelPORClient(MASTER, b"sent-file", 60, TEST_PARAMS)
+        expected = vectorized.encode(data)
+        monkeypatch.setattr(gf256_vec, "HAS_NUMPY", False)
+        scalar = SentinelPORClient(MASTER, b"sent-file", 60, TEST_PARAMS)
+        assert scalar.encode(data) == expected
 
 
 class TestChallenge:

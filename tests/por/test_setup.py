@@ -1,10 +1,14 @@
 """The five-step setup pipeline and extraction (retrievability)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.aes import _CTR_CHUNK_BLOCKS
 from repro.crypto.mac import mac_verify
 from repro.errors import ConfigurationError
+from repro.gf import HAS_NUMPY, gf256_vec
 from repro.por.file_format import Segment
 from repro.por.parameters import PORParams, TEST_PARAMS
 from repro.por.setup import PORKeys, extract_file, setup_file
@@ -135,3 +139,45 @@ class TestSetupWorkers:
     def test_workers_validated(self, keys):
         with pytest.raises(ConfigurationError):
             setup_file(b"x", keys, b"fid", TEST_PARAMS, workers=0)
+
+
+def _snapshot(encoded):
+    """Everything an EncodedFile carries, as comparable plain values."""
+    return (
+        encoded.file_id,
+        encoded.params,
+        encoded.original_length,
+        encoded.n_data_blocks,
+        [(s.index, s.payload, s.tag) for s in encoded.segments],
+    )
+
+
+def _scalar(fn, *args, **kwargs):
+    """Call ``fn`` with the numpy kernels switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf256_vec, "HAS_NUMPY", False)
+        return fn(*args, **kwargs)
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="numpy kernels need numpy")
+class TestNumpyScalarEquivalence:
+    """setup/extract give the same bytes with numpy present and absent."""
+
+    def test_small_file(self, keys, sample_data):
+        vectorized = setup_file(sample_data, keys, b"fid", TEST_PARAMS)
+        scalar = _scalar(setup_file, sample_data, keys, b"fid", TEST_PARAMS)
+        assert _snapshot(vectorized) == _snapshot(scalar)
+        assert _scalar(extract_file, vectorized, keys) == sample_data
+
+    def test_multi_chunk_file(self, keys):
+        # 230 kB under the paper's parameters RS-encodes to more than one
+        # chunk of the AES-CTR kernel, so its chunk boundary is inside.
+        params = PORParams()
+        data = random.Random("multi-chunk").randbytes(230_000)
+        vectorized = setup_file(data, keys, b"big", params)
+        encoded_blocks = sum(len(s.payload) for s in vectorized.segments) // 16
+        assert encoded_blocks > _CTR_CHUNK_BLOCKS
+        scalar = _scalar(setup_file, data, keys, b"big", params)
+        assert _snapshot(vectorized) == _snapshot(scalar)
+        assert extract_file(vectorized, keys) == data
+        assert _scalar(extract_file, vectorized, keys) == data
