@@ -16,6 +16,12 @@ It measures blocks/sec for the legacy scalar path (per-index
 do) against the batch ``permute_list``, asserts the >= 5x acceptance
 bar on the 10k-block domain, and writes the numbers as JSON so CI
 archives a machine-readable record.
+
+A second gated row times ``permutation_table`` on a 50k-block domain
+with the cycle walk as numpy sweeps (the default with numpy) against
+the list walk (``HAS_NUMPY`` switched off), checks the two tables are
+identical, and asserts the numpy walk is >= 5x faster.  The HMAC round
+tables both walks read are built before the clock starts.
 """
 
 from __future__ import annotations
@@ -28,8 +34,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from _gates import Gate, enforce_gates  # noqa: E402
+
 from repro.analysis.reporting import format_table  # noqa: E402
 from repro.crypto.prp import BlockPermutation  # noqa: E402
+from repro.gf import gf256_vec  # noqa: E402
 
 #: Domain sizes measured by the full run; --quick keeps the first two.
 DOMAIN_SIZES = [1_000, 10_000, 50_000]
@@ -37,6 +46,11 @@ DOMAIN_SIZES = [1_000, 10_000, 50_000]
 #: Acceptance bar: batch must beat scalar by at least this factor on
 #: the 10k-block domain (ISSUE 2 / ROADMAP hot-path item).
 MIN_SPEEDUP_10K = 5.0
+
+#: Domain of the numpy-walk row, and its bar over the list walk.
+WALK_DOMAIN = 50_000
+MIN_WALK_SPEEDUP_50K = 5.0
+WALK_REPEATS = 3
 
 KEY = b"bench-prp-key"
 
@@ -73,6 +87,36 @@ def bench_batch(n: int) -> float:
         BlockPermutation(KEY, n).permute_list(items)
 
     return _time(run)
+
+
+def _walk_seconds(n: int, *, numpy_walk: bool) -> tuple[float, tuple[int, ...]]:
+    """Best-of-``WALK_REPEATS`` seconds of ``permutation_table``.
+
+    Each repeat uses a fresh instance whose HMAC round tables are built
+    before the clock starts: both walks read the same tables from the
+    same code, so the timed part is the walk itself plus the inverse.
+    """
+    best = float("inf")
+    table: tuple[int, ...] = ()
+    gf256_vec.HAS_NUMPY = numpy_walk
+    try:
+        for _ in range(WALK_REPEATS):
+            perm = BlockPermutation(KEY, n)
+            for round_index in range(perm._prp._rounds):
+                perm._prp._full_table(round_index)
+            start = time.perf_counter()
+            table = perm.permutation_table()
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gf256_vec.HAS_NUMPY = True
+    return best, table
+
+
+def bench_walks(n: int) -> tuple[float, float, bool]:
+    """(list, numpy) walk seconds, and whether the tables agree."""
+    list_s, listed = _walk_seconds(n, numpy_walk=False)
+    numpy_s, vectorized = _walk_seconds(n, numpy_walk=True)
+    return list_s, numpy_s, vectorized == listed
 
 
 def run_bench(sizes: list[int]) -> list[dict]:
@@ -113,6 +157,14 @@ def main(argv: list[str] | None = None) -> int:
         help="where to write the JSON record (default: ./BENCH_prp.json)",
     )
     args = parser.parse_args(argv)
+    if not gf256_vec.HAS_NUMPY:
+        print(
+            "FAIL: bench_prp's numpy-walk gate needs numpy "
+            "(pip install repro[fast]); the list walk is covered by the "
+            "test suite instead",
+            file=sys.stderr,
+        )
+        return 2
     sizes = DOMAIN_SIZES[:2] if args.quick else DOMAIN_SIZES
 
     rows = run_bench(sizes)
@@ -133,28 +185,52 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
 
+    list_s, numpy_s, identical = bench_walks(WALK_DOMAIN)
+    walk_speedup = list_s / numpy_s
+    print(
+        f"\ncycle walk ({WALK_DOMAIN:,} blocks): {list_s * 1000:.1f} ms list "
+        f"-> {numpy_s * 1000:.1f} ms numpy ({walk_speedup:.1f}x)"
+    )
+
+    row_10k = next(r for r in rows if r["blocks"] == 10_000)
+    gates = [
+        Gate(
+            name="batch_speedup_10k",
+            measured=row_10k["speedup"],
+            required=MIN_SPEEDUP_10K,
+            detail="batch permute_list vs per-index forward, 10k blocks",
+        ),
+        Gate(
+            name="numpy_walk_speedup_50k",
+            measured=walk_speedup,
+            required=MIN_WALK_SPEEDUP_50K,
+            detail=f"numpy vs list walk, permutation_table, {WALK_DOMAIN:,} blocks",
+        ),
+        Gate(
+            name="numpy_list_walk_equivalence",
+            measured=1.0 if identical else 0.0,
+            required=1.0,
+            detail="numpy and list permutation tables identical",
+        ),
+    ]
+
     record = {
         "bench": "prp",
         "unit": "blocks/sec",
         "min_speedup_10k": MIN_SPEEDUP_10K,
         "rows": rows,
+        "walk": {
+            "blocks": WALK_DOMAIN,
+            "list_s": list_s,
+            "numpy_s": numpy_s,
+            "min_speedup": MIN_WALK_SPEEDUP_50K,
+        },
+        "gates": [gate.as_dict() for gate in gates],
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\nwrote {args.out}")
 
-    row_10k = next(r for r in rows if r["blocks"] == 10_000)
-    if row_10k["speedup"] < MIN_SPEEDUP_10K:
-        print(
-            f"FAIL: 10k-block speedup {row_10k['speedup']:.1f}x "
-            f"< required {MIN_SPEEDUP_10K:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"OK: 10k-block speedup {row_10k['speedup']:.1f}x "
-        f">= {MIN_SPEEDUP_10K:.1f}x"
-    )
-    return 0
+    return enforce_gates(gates, bench="prp")
 
 
 if __name__ == "__main__":

@@ -235,8 +235,9 @@ def verify_transcripts(
     """Verify a batch of transcripts; one verdict per job, in order.
 
     Byte-identical to ``[verify_transcript(job...) for job in jobs]``
-    (pinned by test): the cheap checks (position, freshness, timing)
-    stay scalar, while the two expensive checks amortize --
+    (pinned by test) when the verifiers are honest: the cheap checks
+    (position, freshness, timing) stay scalar, while the two expensive
+    checks amortize --
 
     * all rounds sharing a (mac_key, file_id, tag_bits) triple are
       recomputed through one :func:`mac_verify_many` call (one HMAC
@@ -248,6 +249,12 @@ def verify_transcripts(
     Rounds whose echoed segment index contradicts the round index are
     marked bad without touching the MAC batch, exactly like the scalar
     path's short-circuiting ``and``.
+
+    Precondition (from :func:`schnorr_verify_many`): every signature's
+    commitment lies in the order-q subgroup, i.e. the transcripts come
+    from honest verifier appliances.  A key holder can sign an even
+    number of transcripts with commitments ``-g^k`` that the scalar
+    :func:`verify_transcript` rejects but this batch accepts.
     """
     # --- Schnorr: one batch per verifier key, first-appearance order.
     signature_oks = [False] * len(jobs)

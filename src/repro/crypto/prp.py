@@ -39,21 +39,39 @@ scalar path:
   *all* live values per sweep; outputs that land inside ``[0, n)`` are
   done, the rest form the next (geometrically shrinking, < 3/4 ratio)
   frontier.  Every sweep reuses the cached round tables, so the walk
-  tail costs list traversals, not digests.
+  tail costs table lookups, not digests.
+
+* **numpy sweeps.**  With numpy (:data:`repro.gf.HAS_NUMPY`), a dense
+  walk in a cacheable half-domain -- the ``_TABLE_DENSITY`` and
+  ``_FULL_ROUND_TABLE_MAX`` rules that decide when the list path
+  builds full round tables -- runs on int64 arrays instead of lists:
+  each round is ``L, R = R, L ^ T_r[R]`` with ``T_r`` the same cached
+  round table as one array gather, and landed positions leave the
+  frontier through a boolean mask.  ``permutation_table`` and the
+  dense ``forward_many``/``inverse_many`` walks take this path; sparse
+  batches, half-domains above the table cap and numpy-less installs
+  keep the list/dict walk, which gives the same outputs.
 
 :meth:`BlockPermutation.permute_list` / ``unpermute_list`` build (and
-cache) the full permutation array through this engine; the scalar
+cache) the full permutation array through this engine (the inverse
+table is a scatter, ``inverse[table] = arange(n)``); the scalar
 ``forward``/``inverse`` remain available and consult the cached table
 when one exists.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar, cast
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.crypto.prf import DIGEST_SIZE, prf, prf_many, prf_stream
 from repro.errors import ConfigurationError
+from repro.gf import gf256_vec
 from repro.util.bitops import ceil_div
+
+try:  # pragma: no cover - exercised via the no-numpy CI lane
+    import numpy as _np
+except ImportError:  # pragma: no cover
+    _np = None
 
 T = TypeVar("T")
 
@@ -97,6 +115,8 @@ class FeistelPRP:
         self._half_size = 1 << half_bits
         #: round index -> full lookup table (lazily built by batch calls).
         self._round_tables: dict[int, list[int]] = {}
+        #: every round's full table as an int64 array (numpy sweeps).
+        self._round_tables_np: list[Any] | None = None
 
     @property
     def domain_size(self) -> int:
@@ -150,6 +170,14 @@ class FeistelPRP:
             return int.from_bytes(digest[: self._half_bytes], "big") & self._mask
         return self._round_outputs(round_index, (value,))[0]
 
+    def _full_table(self, round_index: int) -> list[int]:
+        """Round ``round_index`` on the whole half-domain, built once."""
+        table = self._round_tables.get(round_index)
+        if table is None:
+            table = self._round_outputs(round_index, range(self._half_size))
+            self._round_tables[round_index] = table
+        return table
+
     def _round_lookup(
         self, round_index: int, needed: Sequence[int]
     ) -> Callable[[int], int]:
@@ -162,10 +190,41 @@ class FeistelPRP:
             self._half_size <= _FULL_ROUND_TABLE_MAX
             and len(distinct) * _TABLE_DENSITY >= self._half_size
         ):
-            table = self._round_outputs(round_index, range(self._half_size))
-            self._round_tables[round_index] = table
-            return table.__getitem__
+            return self._full_table(round_index).__getitem__
         return dict(zip(distinct, self._round_outputs(round_index, distinct))).__getitem__
+
+    # -- numpy sweeps -------------------------------------------------------
+
+    def _sweeps_np(self, count: int) -> bool:
+        """Whether a batch of ``count`` values runs as numpy sweeps.
+
+        Needs numpy and full round tables: the half-domain must be
+        cacheable and the batch dense under the ``_TABLE_DENSITY`` rule.
+        Sparse or wide batches stay on the list/dict path.
+        """
+        return (
+            gf256_vec.HAS_NUMPY
+            and self._half_size <= _FULL_ROUND_TABLE_MAX
+            and count * _TABLE_DENSITY >= self._half_size
+        )
+
+    def _sweep_np(self, values: Any, *, inverse: bool) -> Any:
+        """All Feistel rounds over an int64 array, one gather per round."""
+        if self._round_tables_np is None:
+            self._round_tables_np = [
+                _np.array(self._full_table(r), dtype=_np.int64)
+                for r in range(self._rounds)
+            ]
+        half_bits = self._half_bits
+        left = values >> half_bits
+        right = values & self._mask
+        if inverse:
+            for table in reversed(self._round_tables_np):
+                left, right = right ^ table.take(left), left
+        else:
+            for table in self._round_tables_np:
+                left, right = right, left ^ table.take(right)
+        return (left << half_bits) | right
 
     # -- scalar API ---------------------------------------------------------
 
@@ -310,7 +369,7 @@ class BlockPermutation:
         if self._table is not None:
             table = self._table
             return [table[i] for i in indices]
-        return self._walk_many(indices, self._prp.forward_many)
+        return self._walk_many(indices, inverse=False)
 
     def inverse_many(self, indices: Sequence[int]) -> list[int]:
         """Batch counterpart of :meth:`inverse`."""
@@ -323,14 +382,14 @@ class BlockPermutation:
         if self._inverse_table is not None:
             table = self._inverse_table
             return [table[i] for i in indices]
-        return self._walk_many(indices, self._prp.inverse_many)
+        return self._walk_many(indices, inverse=True)
 
-    def _walk_many(
-        self,
-        indices: Sequence[int],
-        step_many: Callable[[list[int]], list[int]],
-    ) -> list[int]:
+    def _walk_many(self, indices: Sequence[int], *, inverse: bool) -> list[int]:
         """Cycle-walk all indices at once, frontier shrinking per sweep."""
+        if self._prp._sweeps_np(len(indices)):
+            values = _np.fromiter(indices, dtype=_np.int64, count=len(indices))
+            return self._walk_np(values, inverse=inverse).tolist()
+        step_many = self._prp.inverse_many if inverse else self._prp.forward_many
         n = self._n
         out = [0] * len(indices)
         pending_slots = range(len(indices))
@@ -349,6 +408,20 @@ class BlockPermutation:
             pending_slots = next_slots
             values = step_many(next_values)
 
+    def _walk_np(self, values: Any, *, inverse: bool) -> Any:
+        """The cycle walk as numpy sweeps over a boolean-mask frontier."""
+        n = self._n
+        out = _np.empty_like(values)
+        pending = _np.arange(len(values))
+        while len(values):
+            values = self._prp._sweep_np(values, inverse=inverse)
+            landed = values < n
+            out[pending[landed]] = values[landed]
+            walking = ~landed
+            pending = pending[walking]
+            values = values[walking]
+        return out
+
     def permutation_table(self) -> tuple[int, ...]:
         """The full ``index -> forward(index)`` array, built once.
 
@@ -356,15 +429,27 @@ class BlockPermutation:
         scalar :meth:`forward`/:meth:`inverse` and all list operations
         become O(1) lookups after the first call.
         """
-        if self._table is None:
-            table = tuple(self._walk_many(range(self._n), self._prp.forward_many)) \
-                if self._n > 1 else (0,)
-            inverse = [0] * self._n
-            for index, position in enumerate(table):
-                inverse[position] = index
-            self._table = table
-            self._inverse_table = tuple(inverse)
-        return self._table
+        return self._tables()[0]
+
+    def _tables(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The cached ``(forward, inverse)`` tables, built on first use."""
+        if self._table is None or self._inverse_table is None:
+            n = self._n
+            if n == 1:
+                table: list[int] = [0]
+                inverse = [0]
+            elif self._prp._sweeps_np(n):
+                table_np = self._walk_np(_np.arange(n, dtype=_np.int64), inverse=False)
+                inverse_np = _np.empty_like(table_np)
+                inverse_np[table_np] = _np.arange(n, dtype=_np.int64)
+                table, inverse = table_np.tolist(), inverse_np.tolist()
+            else:
+                table = self._walk_many(range(n), inverse=False)
+                inverse = [0] * n
+                for index, position in enumerate(table):
+                    inverse[position] = index
+            self._table, self._inverse_table = tuple(table), tuple(inverse)
+        return self._table, self._inverse_table
 
     # -- list operations -----------------------------------------------------
 
@@ -372,17 +457,14 @@ class BlockPermutation:
         """Return a new list with ``items`` rearranged by the permutation.
 
         Element at original position *i* moves to position
-        ``forward(i)`` in the output.
+        ``forward(i)`` in the output: output position *p* holds
+        ``items[inverse(p)]``.
         """
         if len(items) != self._n:
             raise ConfigurationError(
                 f"list length {len(items)} != permutation size {self._n}"
             )
-        table = self.permutation_table()
-        out: list[T | None] = [None] * self._n
-        for position, item in zip(table, items):
-            out[position] = item
-        return cast("list[T]", out)
+        return list(map(items.__getitem__, self._tables()[1]))
 
     def unpermute_list(self, items: list[T]) -> list[T]:
         """Invert :meth:`permute_list`."""
@@ -390,11 +472,7 @@ class BlockPermutation:
             raise ConfigurationError(
                 f"list length {len(items)} != permutation size {self._n}"
             )
-        self.permutation_table()
-        out: list[T | None] = [None] * self._n
-        for position, item in zip(self._inverse_table, items):
-            out[position] = item
-        return cast("list[T]", out)
+        return list(map(items.__getitem__, self._tables()[0]))
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self._n:

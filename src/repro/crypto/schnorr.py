@@ -543,13 +543,22 @@ def schnorr_verify_many(
 ) -> list[bool]:
     """Batch-verify signatures; returns one verdict per input position.
 
-    Semantics are exactly those of calling :func:`schnorr_verify` per
-    pair: malformed or out-of-range signatures are False, and when the
+    Malformed or out-of-range signatures are False, and when the
     combined random-linear-combination check fails, bisection narrows
     down to the exact culprits (checked individually at the leaves).
-    The only difference is probabilistic: an *invalid* signature can
-    survive the combined check with probability ~2^-64 per randomizer
-    draw.  Valid signatures are never rejected.
+    Valid signatures are never rejected.
+
+    Precondition: every commitment ``R`` lies in the order-q subgroup,
+    as it does for signatures made by :func:`schnorr_sign`.  Under it
+    the verdicts are those of :func:`schnorr_verify` per pair, except
+    that an invalid signature can survive the combined check with
+    probability ~2^-64 per randomizer draw.  Without it they are not:
+    a key holder who signs with ``R = -g^k`` (an order-2 factor times a
+    subgroup element) gets signatures that :func:`schnorr_verify`
+    rejects, yet any even number of them pass the batch every time,
+    because the randomizers are odd and the signs cancel.  Only batch
+    signatures from honest signers; an ``R^q == 1`` check per signature
+    would lift the precondition at about a full modexp each.
     """
     if len(messages) != len(signatures):
         raise ConfigurationError(

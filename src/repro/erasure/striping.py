@@ -200,13 +200,17 @@ class BlockStriper:
             parity.reshape(layout.parity_blocks, n_chunks, bb).transpose(1, 0, 2)
         )
         codewords = np.concatenate([data, parity], axis=1)
-        flat = codewords.reshape(n_chunks * n, bb).tobytes()
-        return [flat[i : i + bb] for i in range(0, len(flat), bb)]
+        # One bb-byte void item per block: tolist() yields the blocks as
+        # bytes objects in C, without a Python-level slicing loop.
+        return codewords.reshape(n_chunks * n * bb).view(f"V{bb}").tolist()
 
     # -- chunk API -----------------------------------------------------------
 
     def _check_blocks(self, blocks: list[bytes]) -> None:
         layout = self.layout
+        # Fast path: every length at once; the loop only names the culprit.
+        if set(map(len, blocks)) <= {layout.block_bytes}:
+            return
         for i, block in enumerate(blocks):
             if len(block) != layout.block_bytes:
                 raise ConfigurationError(

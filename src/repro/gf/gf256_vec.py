@@ -16,10 +16,14 @@ the same arithmetic lifted to whole numpy arrays:
   entirely: ``_MUL_TABLE`` is the full 256x256 product table (64 KiB,
   built once at import from the exp/log tables, zero rows/columns
   included so no mask is needed).  :func:`gf_matmul` computes a GF(256)
-  matrix product ``A (m,k) @ B (k,w)`` one output row at a time as a
-  single 2-D gather ``_MUL_TABLE[A[i][:, None], B]`` (shape ``(k, w)``)
-  followed by ``np.bitwise_xor.reduce`` down the ``k`` axis -- XOR is
-  field addition, so the reduction *is* the dot product.
+  matrix product ``A (m,k) @ B (k,w)`` one *input* row at a time:
+  ``_MUL_TABLE[A[:, j]]`` gathers the ``(m, 256)`` table rows of
+  column ``j`` of ``A``, one contiguous ``take`` along the columns at
+  ``B[j]`` reads off all ``m * w`` products with row ``j`` of ``B``,
+  and the ``(m, w)`` result is XORed into the output -- XOR is field
+  addition, so the running XOR *is* the dot product.  No ``(k, w)``
+  temporary is built; the loop is over ``k`` (223 for RS(255, 223)
+  parity).
 
 This is the kernel under the batch Reed-Solomon encoder: the
 systematic RS(255, 223) parity of all 16 interleaved byte-columns of
@@ -55,7 +59,8 @@ except ImportError:  # pragma: no cover
 
 #: True when numpy is importable and the vectorized kernels are usable.
 #: The capability flag consulted by striping, the AES-CTR keystream
-#: (:mod:`repro.crypto.aes`), benchmarks and packaging docs;
+#: (:mod:`repro.crypto.aes`), the PRP cycle walk
+#: (:mod:`repro.crypto.prp`), benchmarks and packaging docs;
 #: monkeypatchable in tests to exercise the fallback path.
 HAS_NUMPY = _np is not None
 
@@ -133,9 +138,11 @@ def gf_matmul(a: GFArray, b: GFArray) -> GFArray:
 
     ``a`` has shape ``(m, k)`` and ``b`` ``(k, w)``; the result is the
     ``(m, w)`` uint8 matrix with field multiplication and XOR
-    accumulation.  Computed row by row: one fancy-index gather of the
-    256x256 product table per output row plus an XOR reduction, so the
-    Python-level loop is over ``m`` only (32 for RS(255, 223) parity).
+    accumulation.  Computed input row by input row: for each ``j`` the
+    product-table rows ``_MUL_TABLE[a[:, j]]`` are taken at the column
+    indices ``b[j]`` (an ``(m, w)`` block of products) and XORed into
+    the output, so the Python-level loop is over ``k`` and each step's
+    temporaries are one ``(m, 256)`` and one ``(m, w)`` block.
     """
     a = as_gf_array(a, name="a")
     b = as_gf_array(b, name="b")
@@ -147,11 +154,9 @@ def gf_matmul(a: GFArray, b: GFArray) -> GFArray:
         raise ConfigurationError(
             f"gf_matmul shape mismatch: {a.shape} @ {b.shape}"
         )
-    m = a.shape[0]
-    w = b.shape[1]
-    out = _np.empty((m, w), dtype=_np.uint8)
-    for i in range(m):
-        out[i] = _np.bitwise_xor.reduce(_MUL_TABLE[a[i][:, None], b], axis=0)
+    out = _np.zeros((a.shape[0], b.shape[1]), dtype=_np.uint8)
+    for j in range(a.shape[1]):
+        out ^= _MUL_TABLE[a[:, j]].take(b[j], axis=1)
     return out
 
 

@@ -108,9 +108,11 @@ def setup_file(
     blocks = _split_blocks(data, block_bytes)
 
     # Step 2: per-chunk Reed-Solomon -> F'.  encode_blocks runs on the
-    # vectorized GF(256) engine when numpy is available (one parity
-    # matrix product for all interleaved byte columns of every chunk;
-    # see repro.gf.gf256_vec) and can shard chunks across processes.
+    # vectorized GF(256) engine when numpy is available: one parity
+    # matrix product for all interleaved byte columns of every chunk,
+    # accumulated one message row at a time from product-table gathers
+    # (see repro.gf.gf256_vec.gf_matmul).  It can also shard chunks
+    # across processes.
     striper = BlockStriper(params.stripe_layout)
     encoded_blocks = striper.encode_blocks(blocks, workers=workers)
 
@@ -127,9 +129,11 @@ def setup_file(
     ]
 
     # Step 4: pseudorandom permutation of block positions -> F'''.
-    # permute_list runs on the batch Feistel engine (one PRF sweep per
-    # round over a shrinking cycle-walk frontier) -- this was ~65 % of
-    # setup cost when each position paid its own HMAC chain.
+    # permute_list runs on the batch Feistel engine: each round's PRF
+    # is tabulated once, and with numpy the cycle walk over all block
+    # positions runs as int64 array sweeps (one table gather per
+    # round) over a shrinking boolean-mask frontier; without numpy the
+    # same walk runs on lists.
     permutation = BlockPermutation(keys.permutation_key, len(encrypted_blocks))
     permuted_blocks = permutation.permute_list(encrypted_blocks)
 

@@ -10,8 +10,10 @@ pins the two code paths to identical outputs.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import prp
 from repro.crypto.prp import BlockPermutation, FeistelPRP
 from repro.errors import ConfigurationError
+from repro.gf import gf256_vec
 
 
 def _scalar_forward(key: bytes, n: int) -> list:
@@ -233,3 +235,76 @@ class TestBlockPermutationBatch:
         perm = BlockPermutation(b"key", 50)
         out = perm.forward_many([7, 7, 7])
         assert out[0] == out[1] == out[2] == perm.forward(7)
+
+
+@pytest.mark.skipif(not gf256_vec.HAS_NUMPY, reason="numpy sweeps need numpy")
+class TestNumpyWalkEquivalence:
+    """The numpy sweeps give the list walk's outputs, exactly.
+
+    The list side runs with ``HAS_NUMPY`` patched off; each side uses a
+    fresh instance so neither reads the other's cached tables.
+    """
+
+    @staticmethod
+    def _outputs(key, n):
+        perm = BlockPermutation(key, n)
+        forward = BlockPermutation(key, n).forward_many(range(n))
+        inverse = BlockPermutation(key, n).inverse_many(range(n))
+        return perm.permutation_table(), forward, inverse
+
+    def _both(self, key, n, monkeypatch):
+        vectorized = self._outputs(key, n)
+        with monkeypatch.context() as mp:
+            mp.setattr(gf256_vec, "HAS_NUMPY", False)
+            listed = self._outputs(key, n)
+        return vectorized, listed
+
+    @pytest.mark.slow
+    def test_every_size_up_to_1024(self, monkeypatch):
+        for n in range(1, 1025):
+            vectorized, listed = self._both(b"walk-%d" % n, n, monkeypatch)
+            assert vectorized == (tuple(listed[1]), listed[1], listed[2]), n
+            assert sorted(vectorized[1]) == list(range(n))
+
+    @pytest.mark.slow
+    def test_powers_of_four_and_neighbours(self, monkeypatch):
+        for power in range(1, 9):
+            for n in (4**power - 1, 4**power, 4**power + 1):
+                vectorized, listed = self._both(b"pow4", n, monkeypatch)
+                assert vectorized == (tuple(listed[1]), listed[1], listed[2]), n
+
+    def test_numpy_side_takes_the_sweeps(self):
+        perm = BlockPermutation(b"key", 5000)
+        perm.permutation_table()
+        assert perm._prp._round_tables_np is not None
+
+    def test_sparse_subset_takes_the_dict_path(self, monkeypatch):
+        n = 200_000
+        subset = [3, 17, 99_999, 150_001, 199_999]
+        perm = BlockPermutation(b"sparse", n)
+        assert not perm._prp._sweeps_np(len(subset))
+        forward = perm.forward_many(subset)
+        inverse = perm.inverse_many(subset)
+        assert perm._prp._round_tables_np is None
+        assert perm._prp._round_tables == {}
+        with monkeypatch.context() as mp:
+            mp.setattr(gf256_vec, "HAS_NUMPY", False)
+            scalar = BlockPermutation(b"sparse", n)
+            assert forward == [scalar.forward(i) for i in subset]
+            assert inverse == [scalar.inverse(i) for i in subset]
+
+    def test_round_table_cap_boundary(self, monkeypatch):
+        # n = 3000 walks a half-domain of 64 values.  With the cap at 64
+        # the sweeps run; one step below, the list fallback runs.
+        n = 3000
+        monkeypatch.setattr(prp, "_FULL_ROUND_TABLE_MAX", 64)
+        at_cap = BlockPermutation(b"cap", n)
+        at_cap_outputs = self._outputs(b"cap", n)
+        at_cap.permutation_table()
+        assert at_cap._prp._round_tables_np is not None
+        monkeypatch.setattr(prp, "_FULL_ROUND_TABLE_MAX", 32)
+        above_cap = BlockPermutation(b"cap", n)
+        assert not above_cap._prp._sweeps_np(n)
+        assert self._outputs(b"cap", n) == at_cap_outputs
+        above_cap.permutation_table()
+        assert above_cap._prp._round_tables_np is None

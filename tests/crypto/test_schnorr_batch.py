@@ -12,8 +12,10 @@ culprit positions identified, not just "the batch failed".
 import pytest
 
 from repro.crypto.schnorr import (
+    DEFAULT_GROUP,
     TEST_GROUP,
     SchnorrKeyPair,
+    _challenge_hash,
     schnorr_sign,
     schnorr_sign_many,
     schnorr_verify,
@@ -194,3 +196,30 @@ class TestScalarEquivalenceSweep:
                 schnorr_verify_many(keypair.public, messages, signatures)
                 == expected
             )
+
+
+class TestBatchPrecondition:
+    """The batch check assumes commitments in the order-q subgroup."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "schnorr_verify_many accepts an even number of commitments "
+            "R = -g^k that schnorr_verify rejects: the randomizers are "
+            "odd, so the order-2 factors cancel in the combined check; "
+            "callers must only batch commitments from honest signers"
+        ),
+    )
+    def test_negated_commitments_rejected_like_scalar(self):
+        pair = SchnorrKeyPair.generate(DEFAULT_GROUP, seed=b"order-two")
+        group = pair.public.group
+        messages = [b"first", b"second"]
+        signatures = []
+        for index, message in enumerate(messages):
+            k = 1000 + index
+            commitment = group.p - pow(group.g, k, group.p)  # -g^k
+            e = _challenge_hash(group, commitment, message)
+            signatures.append((commitment, (k + pair.private.x * e) % group.q))
+        scalar = scalar_verdicts(pair.public, messages, signatures)
+        assert scalar == [False, False]
+        assert schnorr_verify_many(pair.public, messages, signatures) == scalar

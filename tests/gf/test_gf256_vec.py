@@ -113,3 +113,60 @@ class TestMatmul:
     def test_matvec_rejects_matrix_vector(self):
         with pytest.raises(ConfigurationError):
             gf256_vec.gf_matvec([[1]], [[1], [2]])
+
+
+def _scalar_matmul(a, b):
+    """GF(256) dot products with the scalar multiply: the anchor."""
+    k = len(b)
+    w = len(b[0]) if k else 0
+    return [
+        [
+            _xor_all(mul_fast(row[t], b[t][j]) for t in range(k))
+            for j in range(w)
+        ]
+        for row in a
+    ]
+
+
+def _xor_all(values):
+    acc = 0
+    for value in values:
+        acc ^= value
+    return acc
+
+
+class TestMatmulShapes:
+    """The input-row take kernel against the scalar dot products."""
+
+    @pytest.mark.parametrize(
+        "m, k, w",
+        [
+            (1, 5, 7),  # single output row
+            (4, 1, 9),  # single input row
+            (3, 4, 0),  # no columns
+            (32, 223, 40),  # RS(255, 223) parity: parity rows x message
+            (32, 255, 16),  # decode pre-screen: syndromes of one chunk
+        ],
+    )
+    def test_matches_scalar_dot_products(self, m, k, w):
+        rnd = np.random.default_rng(m * 1000 + k * 10 + w)
+        a = rnd.integers(0, 256, (m, k), dtype=np.uint8)
+        b = rnd.integers(0, 256, (k, w), dtype=np.uint8)
+        out = gf256_vec.gf_matmul(a, b)
+        assert out.shape == (m, w)
+        assert out.dtype == np.uint8
+        assert out.tolist() == _scalar_matmul(a.tolist(), b.tolist())
+
+    def test_rs_parity_matches_scalar_encoder(self, monkeypatch):
+        from repro.erasure.reed_solomon import ReedSolomon
+        from repro.erasure.striping import BlockStriper
+
+        rs = ReedSolomon(255, 223)
+        message = np.random.default_rng(7).integers(
+            0, 256, (223, 24), dtype=np.uint8
+        )
+        parity = gf256_vec.gf_matmul(BlockStriper()._parity_transpose(), message)
+        monkeypatch.setattr(gf256_vec, "HAS_NUMPY", False)
+        for col in range(message.shape[1]):
+            codeword = rs.encode(message[:, col].tobytes())
+            assert parity[:, col].tobytes() == codeword[223:]

@@ -181,3 +181,17 @@ class TestNumpyScalarEquivalence:
         assert _snapshot(vectorized) == _snapshot(scalar)
         assert extract_file(vectorized, keys) == data
         assert _scalar(extract_file, vectorized, keys) == data
+
+    def test_extract_with_corrupted_segments(self, keys):
+        # Bad tags turn whole segments into erasures, whose positions
+        # are mapped back through inverse_many before the RS decode.
+        params = PORParams()
+        data = random.Random("erasures").randbytes(60_000)
+        encoded = setup_file(data, keys, b"erased", params)
+        for index in range(1, encoded.n_segments, 23):
+            old = encoded.segments[index]
+            encoded.segments[index] = Segment(
+                index=index, payload=b"\x5a" * len(old.payload), tag=old.tag
+            )
+        assert extract_file(encoded, keys) == data
+        assert _scalar(extract_file, encoded, keys) == data
